@@ -4,43 +4,46 @@
 //
 //  1. parse_journal never crashes or overreads on arbitrary journal text;
 //     damaged lines are dropped with warnings, never invented.
-//  2. Every record it salvages round-trips: dump -> parse -> from_json ->
-//     dump is byte-identical, and journal_record_dump agrees byte-for-byte
-//     with journal_record_to_json(...).dump() — the checksum covers exactly
-//     those bytes, so any divergence silently breaks crash recovery.
+//  2. Every record it salvages is emitted in canonical form, in both record
+//     shapes: jsonio::parse(json)->dump() == json. The journal checksum is
+//     checked against the dump of the parsed record, so a non-canonical
+//     emission would fail every record on resume.
+//  3. Every salvaged record round-trips: emit -> parse -> record_from_json
+//     -> emit is byte-identical, in both shapes.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
 #include "atlas/journal.h"
+#include "atlas/record_codec.h"
 #include "jsonio/json.h"
 
+namespace {
+
+void fail(const char* what) {
+  std::fprintf(stderr, "%s\n", what);
+  std::abort();
+}
+
+}  // namespace
+
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
+  using dnslocate::atlas::RecordShape;
   std::string_view text(reinterpret_cast<const char*>(data), size);
   dnslocate::atlas::JournalLoadResult result = dnslocate::atlas::parse_journal(text);
   if (!result.ok()) return 0;
 
   for (const dnslocate::atlas::ProbeRecord& record : result.records) {
-    std::string dump = dnslocate::atlas::journal_record_dump(record);
-    std::string tree_dump = dnslocate::atlas::journal_record_to_json(record).dump();
-    if (dump != tree_dump) {
-      std::fprintf(stderr, "journal_record_dump diverges from the jsonio tree dump\n");
-      std::abort();
-    }
-    auto parsed = dnslocate::jsonio::parse(dump);
-    if (!parsed) {
-      std::fprintf(stderr, "salvaged record dump is not valid JSON\n");
-      std::abort();
-    }
-    auto restored = dnslocate::atlas::journal_record_from_json(*parsed);
-    if (!restored) {
-      std::fprintf(stderr, "salvaged record does not re-parse\n");
-      std::abort();
-    }
-    if (dnslocate::atlas::journal_record_dump(*restored) != dump) {
-      std::fprintf(stderr, "record round-trip is not byte-stable\n");
-      std::abort();
+    for (RecordShape shape : {RecordShape::journal, RecordShape::dataset}) {
+      std::string json = dnslocate::atlas::record_json(record, shape);
+      auto parsed = dnslocate::jsonio::parse(json);
+      if (!parsed) fail("salvaged record's JSON is not valid JSON");
+      if (parsed->dump() != json) fail("record JSON is not in jsonio's canonical form");
+      auto restored = dnslocate::atlas::record_from_json(*parsed, shape);
+      if (!restored) fail("salvaged record does not re-parse");
+      if (dnslocate::atlas::record_json(*restored, shape) != json)
+        fail("record round-trip is not byte-stable");
     }
   }
   return 0;

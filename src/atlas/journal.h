@@ -7,6 +7,9 @@
 //   {"fingerprint":"<16 hex>","probes":9650,"format":"dnslocate-journal","version":1}
 //   {"crc":"<16 hex of record dump>","record":{...full probe record...}}
 //
+// The record is the journal shape of atlas/record_codec.h, and the checksum
+// covers its canonical JSON.
+//
 // Every append reaches the OS before it returns and the file is fsync'd
 // at most once a second; the fleet runner hands completed records to the
 // writer in small batches, so a crash loses at most the last batch plus
@@ -27,7 +30,6 @@
 #include <vector>
 
 #include "atlas/measurement.h"
-#include "jsonio/json.h"
 #include "netbase/thread_annotations.h"
 
 namespace dnslocate::atlas {
@@ -43,20 +45,6 @@ struct JournalHeader {
 
 /// Deterministic fingerprint over the full fleet specification.
 std::uint64_t fleet_fingerprint(const std::vector<ProbeSpec>& fleet);
-
-/// Serialize one record to the journal's JSON form. Round-trips everything
-/// the report layer aggregates: verdict summaries, ground truth, transport
-/// telemetry, drop/fault counters, and the supervision outcome.
-jsonio::Value journal_record_to_json(const ProbeRecord& record);
-
-/// Parse a journal record; nullopt when structurally invalid.
-std::optional<ProbeRecord> journal_record_from_json(const jsonio::Value& value);
-
-/// Serialize one record straight to its journal JSON text: byte-identical to
-/// journal_record_to_json(record).dump() — the checksum covers exactly these
-/// bytes — but without building the value tree, so checkpointing stays
-/// cheap on the fleet's hot path (JournalWriter uses this form).
-std::string journal_record_dump(const ProbeRecord& record);
 
 /// Append-only journal writer. Thread-safe; every append reaches the OS
 /// before it returns (surviving a crash of this process), and the file is

@@ -3,7 +3,9 @@
 // aggregation. No external dependencies; UTF-8 passed through verbatim.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -51,9 +53,24 @@ class Value {
     const double* d = std::get_if<double>(&storage_);
     return d ? *d : fallback;
   }
+  /// Truncates toward zero; `fallback` for non-numbers and for numbers
+  /// outside int64's range (where the cast would be undefined).
   [[nodiscard]] std::int64_t as_int(std::int64_t fallback = 0) const {
     const double* d = std::get_if<double>(&storage_);
-    return d ? static_cast<std::int64_t>(*d) : fallback;
+    return d && std::abs(*d) < 9.2e18 ? static_cast<std::int64_t>(*d) : fallback;
+  }
+  /// The number as an exact `Int`: nullopt unless it is a number with no
+  /// fractional part, inside Int's range, and at most 2^53 in magnitude
+  /// (past that a double no longer holds every integer). The checked way to
+  /// read a count or an id from untrusted JSON.
+  template <class Int>
+  [[nodiscard]] std::optional<Int> as_integral() const {
+    const double* d = std::get_if<double>(&storage_);
+    if (d == nullptr || std::trunc(*d) != *d || std::abs(*d) > 9007199254740992.0 ||
+        *d < static_cast<double>(std::numeric_limits<Int>::min()) ||
+        *d > static_cast<double>(std::numeric_limits<Int>::max()))
+      return std::nullopt;
+    return static_cast<Int>(*d);
   }
   [[nodiscard]] const std::string& as_string() const {
     static const std::string empty;

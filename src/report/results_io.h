@@ -11,15 +11,18 @@
 
 namespace dnslocate::report {
 
-/// Serialize one probe record to a JSON object.
+/// One probe record as a JSON object: the dataset shape of
+/// atlas/record_codec.h.
 jsonio::Value probe_to_json(const atlas::ProbeRecord& record);
 
-/// Whole run -> JSONL text (one probe per line, trailing newline).
+/// Whole run -> JSONL text (one dataset-shape record per line, trailing
+/// newline).
 std::string run_to_jsonl(const atlas::MeasurementRun& run);
 
 /// Parse JSONL back into records. Fields the JSON lacks (raw responses)
 /// stay default; everything the aggregators consume round-trips. Lines
-/// that fail to parse are reported in `errors` (line numbers, 1-based).
+/// that fail to parse or that the record codec rejects (an unknown name, a
+/// bad number) are reported in `errors` (line numbers, 1-based).
 struct JsonlLoadResult {
   atlas::MeasurementRun run;
   std::vector<std::string> errors;

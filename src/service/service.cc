@@ -12,6 +12,7 @@
 
 #include "atlas/fleet_json.h"
 #include "atlas/journal.h"
+#include "atlas/record_codec.h"
 #include "report/aggregate.h"
 #include "report/results_io.h"
 
@@ -270,7 +271,8 @@ SubmitResult MeasurementService::submit(const std::string& body) {
     out.error = "tenant must be 1-64 chars of [A-Za-z0-9_-]";
     return out;
   }
-  const std::int64_t pace_ms = (*parsed)["pace_ms"].as_int(0);
+  const jsonio::Value& pace = (*parsed)["pace_ms"];
+  const std::int64_t pace_ms = pace.is_null() ? 0 : pace.as_integral<std::int64_t>().value_or(-1);
   if (pace_ms < 0 || pace_ms > 60000) {
     out.status = 400;
     out.error = "pace_ms must be in [0, 60000]";
@@ -406,8 +408,10 @@ void MeasurementService::execute(const std::shared_ptr<Run>& run) {
     options.journal_path = run->journal_path;
     options.cancel = run->cancel;
     options.on_record = [run](const atlas::ProbeRecord& record) {
+      // Serialise before taking the lock /verdicts and status readers share.
+      std::string line = atlas::record_json(record, atlas::RecordShape::dataset);
       netbase::MutexLock lock(run->mutex);
-      run->verdict_lines.push_back(report::probe_to_json(record).dump());
+      run->verdict_lines.push_back(std::move(line));
     };
     if (run->pace.count() > 0) {
       // Pacing spreads a simulated fleet over wall-clock time (drain and
@@ -604,7 +608,7 @@ void MeasurementService::ensure_history_loaded(Run& run) {
         run.verdict_lines.clear();
         run.verdict_lines.reserve(result.records.size());
         for (const auto& record : result.records)
-          run.verdict_lines.push_back(report::probe_to_json(record).dump());
+          run.verdict_lines.push_back(atlas::record_json(record, atlas::RecordShape::dataset));
         run.result = std::move(result);
       }
     }

@@ -2,6 +2,7 @@
 // and the measurement-run JSONL round trip.
 #include <gtest/gtest.h>
 
+#include "atlas/fleet_json.h"
 #include "jsonio/json.h"
 #include "report/aggregate.h"
 #include "report/results_io.h"
@@ -101,6 +102,26 @@ TEST(Json, ParseErrorsCarryLineColumnAndContext) {
   EXPECT_EQ(long_error.context.substr(long_error.context.size() - 3), "...");
 }
 
+TEST(Json, AsIntegralAcceptsOnlyExactInRangeIntegers) {
+  EXPECT_EQ(parse("5")->as_integral<int>(), 5);
+  EXPECT_EQ(parse("-7")->as_integral<std::int64_t>(), -7);
+  EXPECT_EQ(parse("4294967295")->as_integral<std::uint32_t>(), 4294967295u);
+  EXPECT_EQ(parse("9007199254740992")->as_integral<std::uint64_t>(), 9007199254740992ull);
+  EXPECT_FALSE(parse("9007199254740994")->as_integral<std::uint64_t>());  // past 2^53
+  EXPECT_FALSE(parse("4294967297")->as_integral<std::uint32_t>());
+  EXPECT_FALSE(parse("4294967297")->as_integral<int>());
+  EXPECT_FALSE(parse("-1")->as_integral<std::uint32_t>());
+  EXPECT_FALSE(parse("256")->as_integral<std::uint8_t>());
+  EXPECT_FALSE(parse("2.75")->as_integral<int>());
+  EXPECT_FALSE(parse("1e300")->as_integral<std::int64_t>());
+  EXPECT_FALSE(parse("-1e300")->as_integral<std::int64_t>());
+  EXPECT_FALSE(parse("\"5\"")->as_integral<int>());
+  EXPECT_FALSE(Value().as_integral<int>());
+  // as_int keeps truncating, but never casts a number int64 cannot hold.
+  EXPECT_EQ(parse("2.75")->as_int(), 2);
+  EXPECT_EQ(parse("1e300")->as_int(42), 42);
+}
+
 TEST(Json, RoundTripsItsOwnOutput) {
   auto original = parse(R"({"n":[1,2.5,-3],"s":"e\"sc","o":{"k":true}})");
   ASSERT_TRUE(original.has_value());
@@ -179,3 +200,32 @@ TEST(ResultsIo, EmptyInput) {
 
 }  // namespace
 }  // namespace dnslocate::report
+
+namespace dnslocate::atlas {
+namespace {
+
+// A plan integer that is fractional, out of range or not a number is an
+// error naming the field, never a narrowed or undefined cast.
+TEST(FleetJson, PlanIntegersAreChecked) {
+  const std::pair<const char*, const char*> bad[] = {
+      {R"({"orgs":[{"org":"x","probes":4294967297}]})", "\"probes\""},
+      {R"({"orgs":[{"org":"x","probes":2.75}]})", "\"probes\""},
+      {R"({"orgs":[{"org":"x","probes":1,"cpe_xb6":"2"}]})", "\"cpe_xb6\""},
+      {R"({"orgs":[{"org":"x","probes":1,"asn":-5}]})", "\"asn\""},
+      {R"({"seed":1e300,"orgs":[{"org":"x","probes":1}]})", "\"seed\""},
+  };
+  for (const auto& [plan, field] : bad) {
+    auto result = fleet_from_json(plan);
+    ASSERT_FALSE(result.ok()) << plan;
+    EXPECT_NE(result.errors[0].find(field), std::string::npos) << result.errors[0];
+  }
+  auto good = fleet_from_json(R"({"seed":7,"orgs":[{"org":"x","probes":3,"asn":64501}]})");
+  ASSERT_TRUE(good.ok()) << good.errors[0];
+  EXPECT_EQ(good.config.seed, 7u);
+  ASSERT_EQ(good.plan.size(), 1u);
+  EXPECT_EQ(good.plan[0].probes, 3);
+  EXPECT_EQ(good.plan[0].asn, 64501u);
+}
+
+}  // namespace
+}  // namespace dnslocate::atlas

@@ -431,6 +431,14 @@ TEST(ServiceApi, EndToEndOverLoopbackSocket) {
   EXPECT_NE(bad.body.find("\"offset\""), std::string::npos);
   EXPECT_NE(bad.body.find("-->"), std::string::npos);
 
+  // A probe count past int's range is a 400 naming the field, not a
+  // narrowed 1-probe fleet.
+  auto narrowed = http_request(port, "POST", "/v1/fleets",
+                               R"({"orgs": [{"org": "A", "asn": 1, "probes": 4294967297}]})");
+  ASSERT_TRUE(narrowed.ok);
+  EXPECT_EQ(narrowed.status, 400);
+  EXPECT_NE(narrowed.body.find("probes"), std::string::npos) << narrowed.body;
+
   // Poll status over HTTP until completed.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
   bool completed = false;

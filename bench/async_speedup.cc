@@ -173,8 +173,9 @@ int main(int argc, char** argv) {
   core::PipelineConfig config = bench_config(cpe_ip);
 
   sockets::UdpTransport udp;
-  core::MappedTransport blocking(udp);
-  map_world(blocking, interceptor.endpoint(), cpe_ip);
+  core::MappedTransport mapped(udp);
+  map_world(mapped, interceptor.endpoint(), cpe_ip);
+  core::BlockingBatchAdapter blocking(mapped);
 
   sockets::UdpEngine engine;
   core::MappedBatchTransport async(engine);
@@ -192,11 +193,7 @@ int main(int argc, char** argv) {
       bool run_blocking = (round + leg) % 2 == 0;
       core::LocalizationPipeline pipeline(config);
       auto start = Clock::now();
-      // MappedBatchTransport serves both engine interfaces; the cast picks
-      // its batched side (the blocking leg uses the plain MappedTransport).
-      core::ProbeVerdict verdict =
-          run_blocking ? pipeline.run(blocking)
-                       : pipeline.run(static_cast<core::AsyncQueryTransport&>(async));
+      core::ProbeVerdict verdict = run_blocking ? pipeline.run(blocking) : pipeline.run(async);
       double ms = std::chrono::duration<double, std::milli>(Clock::now() - start).count();
       (run_blocking ? blocking_ms : async_ms).push_back(ms);
       signatures.push_back((run_blocking ? "blocking\n" : "async\n") +

@@ -40,12 +40,13 @@ int main(int argc, char** argv) {
   }
 
   sockets::UdpTransport transport;
+  core::BlockingBatchAdapter engine(transport);
   core::LocalizationPipeline pipeline(config);
   std::string previous;
   bool last_intercepted = false;
 
   for (int round = 0; round < rounds || rounds <= 0; ++round) {
-    auto verdict = pipeline.run(transport);
+    auto verdict = pipeline.run(engine);
     std::string summary = core::summarize(verdict);
     last_intercepted = verdict.intercepted();
 

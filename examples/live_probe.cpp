@@ -47,9 +47,10 @@ int main(int argc, char** argv) {
   config.transparency.query.timeout = std::chrono::milliseconds(timeout_ms);
 
   sockets::UdpTransport transport;
+  core::BlockingBatchAdapter engine(transport);
   core::LocalizationPipeline pipeline(config);
   std::printf("probing the four public resolvers with location queries...\n");
-  core::ProbeVerdict verdict = pipeline.run(transport);
+  core::ProbeVerdict verdict = pipeline.run(engine);
   std::fputs(core::describe(verdict).c_str(), stdout);
   return 0;
 }

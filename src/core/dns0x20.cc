@@ -1,5 +1,7 @@
 #include "core/dns0x20.h"
 
+#include <vector>
+
 namespace dnslocate::core {
 
 std::string_view to_string(CaseEchoResult result) {
@@ -24,9 +26,13 @@ std::string Dns0x20Prober::encode_0x20(const std::string& name, simnet::Rng& rng
   return out;
 }
 
-Dns0x20Report Dns0x20Prober::run(QueryTransport& transport) {
+Dns0x20Report Dns0x20Prober::run(AsyncQueryTransport& engine) {
   Dns0x20Report report;
   simnet::Rng rng(config_.seed);
+  // One query per resolver whose encoded name parses, in resolver order; a
+  // name that does not parse is reported as a timeout without a query.
+  QueryBatch batch;
+  std::vector<resolvers::PublicResolverKind> kinds;  // per batch slot
   for (resolvers::PublicResolverKind kind : resolvers::all_public_resolvers()) {
     const auto& spec = resolvers::PublicResolverSpec::get(kind);
     netbase::Endpoint server{spec.service_v4[0], netbase::kDnsPort};
@@ -38,9 +44,15 @@ Dns0x20Report Dns0x20Prober::run(QueryTransport& transport) {
       report.per_resolver.emplace(kind, CaseEchoResult::timed_out);
       continue;
     }
-    dnswire::Message query = dnswire::make_query(next_id_++, *name, dnswire::RecordType::A);
-    QueryResult result = transport.query(server, query, config_.query);
+    batch.add(server, dnswire::make_query(next_id_++, *name, dnswire::RecordType::A),
+              config_.query);
+    kinds.push_back(kind);
+  }
 
+  engine.run(batch);
+
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const QueryResult& result = batch.result(i);
     CaseEchoResult echo;
     if (!result.answered()) {
       echo = CaseEchoResult::timed_out;
@@ -48,10 +60,11 @@ Dns0x20Report Dns0x20Prober::run(QueryTransport& transport) {
       echo = CaseEchoResult::no_question;
     } else {
       // Byte-exact comparison: the whole point of 0x20 is case sensitivity.
-      echo = result.response->question()->name == *name ? CaseEchoResult::preserved
-                                                        : CaseEchoResult::rewritten;
+      const dnswire::DnsName& sent = batch.spec(i).message.question()->name;
+      echo = result.response->question()->name == sent ? CaseEchoResult::preserved
+                                                       : CaseEchoResult::rewritten;
     }
-    report.per_resolver.emplace(kind, echo);
+    report.per_resolver.emplace(kinds[i], echo);
   }
   return report;
 }

@@ -14,8 +14,6 @@
 
 namespace dnslocate::core {
 
-class SimTransport;
-
 /// Pipeline configuration.
 struct PipelineConfig {
   /// Public (WAN) address of the client's CPE. Without it step 2 cannot run
@@ -128,14 +126,6 @@ class LocalizationPipeline {
   /// (async cancellation) gets that stage marked skipped too — its partial
   /// report is never upgraded into a localization claim.
   ProbeVerdict run(AsyncQueryTransport& engine, const CancelToken& cancel = {});
-  /// Sequential compatibility path: wraps `transport` in a
-  /// BlockingBatchAdapter, which reproduces the historical per-query loop
-  /// byte for byte.
-  ProbeVerdict run(QueryTransport& transport, const CancelToken& cancel = {});
-  /// SimTransport implements both interfaces; this exact-match overload
-  /// resolves the ambiguity in favour of the batched engine, whose simulated
-  /// cascade is byte-identical to the sequential loop (see sim_transport.h).
-  ProbeVerdict run(SimTransport& transport, const CancelToken& cancel = {});
 
   [[nodiscard]] const PipelineConfig& config() const { return config_; }
 

@@ -89,13 +89,13 @@ class AsyncQueryTransport {
   [[nodiscard]] virtual QueryTransport& transport() = 0;
 };
 
-/// Compatibility adapter: runs a batch one query at a time, in submission
-/// order, over any QueryTransport. This is *exactly* the historical
-/// sequential loop — same queries, same order, same transport calls — so
-/// wrapped transports (MappedTransport, test doubles, SimTransport) behave
-/// byte-identically to the pre-batch pipeline. It never marks the batch
-/// drained: per-query cancellation semantics are the inner transport's, as
-/// they always were.
+/// How a plain QueryTransport enters a stage: runs a batch one query at a
+/// time, in submission order. This is *exactly* the historical sequential
+/// loop — same queries, same order, same transport calls — so wrapped
+/// transports (UdpTransport, MappedTransport, test doubles, SimTransport)
+/// behave byte-identically to the pre-batch pipeline. It never marks the
+/// batch drained: per-query cancellation semantics are the inner
+/// transport's, as they always were.
 class BlockingBatchAdapter final : public AsyncQueryTransport {
  public:
   explicit BlockingBatchAdapter(QueryTransport& inner) : inner_(inner) {}

@@ -65,7 +65,7 @@ void ByteArena::release(void* block, std::size_t bytes) noexcept {
   }
   std::size_t index = class_of(bytes);
   std::vector<void*>& list = free_lists_[index];
-  if (list.size() >= kMaxParkedPerClass) {
+  if (list.size() >= max_parked_) {
     ::operator delete(block);
     return;
   }
@@ -95,19 +95,38 @@ void ByteArena::trim() noexcept {
   stats_.parked_bytes = 0;
 }
 
+void ByteArena::retire() noexcept {
+  trim();
+  for (std::vector<void*>& list : free_lists_) std::vector<void*>().swap(list);
+  max_parked_ = 0;
+}
+
 namespace {
 
-/// The installed arena for this thread (null = use the shared default).
+/// The installed arena for this thread (null = use the thread's default).
 thread_local ByteArena* t_arena = nullptr;
+
+/// The thread's default arena lives in raw thread-local storage and is never
+/// destroyed: buffers owned by objects with static storage release during
+/// shutdown, after thread_local destructors have already run, and must still
+/// find an arena. What it owns is freed at thread exit by retiring it, after
+/// which it passes every block straight through to the heap.
+alignas(ByteArena) thread_local unsigned char t_default_storage[sizeof(ByteArena)];
+thread_local ByteArena* t_default = nullptr;
+
+struct RetireAtThreadExit {
+  ~RetireAtThreadExit() { t_default->retire(); }
+};
 
 }  // namespace
 
 ByteArena& this_thread_arena() {
   if (t_arena != nullptr) return *t_arena;
-  // Leaked on purpose: buffers owned by objects with static storage release
-  // during shutdown, after thread_local destructors have already run.
-  thread_local ByteArena* fallback = new ByteArena();
-  return *fallback;
+  if (t_default == nullptr) {
+    t_default = new (t_default_storage) ByteArena();
+    thread_local RetireAtThreadExit retire_at_exit;
+  }
+  return *t_default;
 }
 
 ScopedArena::ScopedArena(ByteArena& arena) : previous_(t_arena) { t_arena = &arena; }

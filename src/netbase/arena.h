@@ -63,6 +63,10 @@ class ByteArena {
 
   /// Release every parked block back to the heap (free lists stay usable).
   void trim() noexcept;
+  /// Release every parked block and park nothing from now on: a later
+  /// release goes straight to ::operator delete, and an acquire comes from
+  /// ::operator new.
+  void retire() noexcept;
 
  private:
   // 64B..4KB in powers of two covers every DNS payload (EDNS advertises
@@ -81,13 +85,15 @@ class ByteArena {
   bool poison_;
   std::uint64_t poison_state_;
   std::array<std::vector<void*>, kClassCount> free_lists_;
+  std::size_t max_parked_ = kMaxParkedPerClass;
   Stats stats_;
 };
 
 /// The calling thread's arena. Worker threads that want a dedicated arena
 /// install one with ScopedArena; everything else shares a lazily created
-/// per-thread default. The default is intentionally leaked at thread exit
-/// so buffers owned by statics can still release during shutdown.
+/// per-thread default. The default frees its parked blocks at thread exit
+/// and is retired from then on, so buffers owned by statics can still
+/// release during shutdown.
 ByteArena& this_thread_arena();
 
 /// Install `arena` as the calling thread's arena for the current scope.

@@ -90,7 +90,7 @@ class LpmTable {
     } else {
       const auto& b = addr.v6().bytes();
       for (unsigned i = 0; i < bits && i < 128; ++i)
-        fn((b[i / 8] >> (7 - i % 8)) & 1u);
+        fn((static_cast<unsigned>(b[i / 8]) >> (7 - i % 8)) & 1u);
     }
   }
 

@@ -18,11 +18,16 @@ namespace {
 using resolvers::PublicResolverKind;
 
 /// Transport whose behaviour is a plain function of (server, question).
+/// Stages take it through engine(), the blocking adapter over itself.
 class ScriptedTransport : public QueryTransport {
  public:
   using Script = std::function<std::optional<dnswire::Message>(const netbase::Endpoint&,
                                                                const dnswire::Message&)>;
   explicit ScriptedTransport(Script script) : script_(std::move(script)) {}
+  ScriptedTransport(const ScriptedTransport&) = delete;
+  ScriptedTransport& operator=(const ScriptedTransport&) = delete;
+
+  BlockingBatchAdapter& engine() { return engine_; }
 
   QueryResult query(const netbase::Endpoint& server, const dnswire::Message& message,
                     const QueryOptions&) override {
@@ -47,6 +52,7 @@ class ScriptedTransport : public QueryTransport {
   Script script_;
   bool v6_ = false;
   int queries_ = 0;
+  BlockingBatchAdapter engine_{*this};
 };
 
 bool is_version_bind(const dnswire::Message& m) {
@@ -74,7 +80,7 @@ std::optional<dnswire::Message> clean_network(const netbase::Endpoint& server,
 TEST(Detector, CleanNetworkFindsNothing) {
   ScriptedTransport transport{clean_network};
   InterceptionDetector detector;
-  auto report = detector.run(transport);
+  auto report = detector.run(transport.engine());
   EXPECT_FALSE(report.any_intercepted());
   // 4 resolvers x 2 addresses, v4 only (transport has no v6).
   EXPECT_EQ(report.probes.size(), 8u);
@@ -89,7 +95,7 @@ TEST(Detector, V6TestedWhenSupported) {
   ScriptedTransport transport{clean_network};
   transport.set_v6(true);
   InterceptionDetector detector;
-  auto report = detector.run(transport);
+  auto report = detector.run(transport.engine());
   EXPECT_EQ(report.probes.size(), 16u);
   for (const auto& r : report.per_resolver) EXPECT_TRUE(r.tested_v6);
 }
@@ -99,13 +105,13 @@ TEST(Detector, SecondaryAddressesCanBeDisabled) {
   InterceptionDetector::Config config;
   config.use_secondary_addresses = false;
   InterceptionDetector detector(config);
-  EXPECT_EQ(detector.run(transport).probes.size(), 4u);
+  EXPECT_EQ(detector.run(transport.engine()).probes.size(), 4u);
 }
 
 TEST(Detector, AllTimeoutsIsUnreachableNotIntercepted) {
   ScriptedTransport transport{[](const auto&, const auto&) { return std::nullopt; }};
   InterceptionDetector detector;
-  auto report = detector.run(transport);
+  auto report = detector.run(transport.engine());
   EXPECT_FALSE(report.any_intercepted());
   for (const auto& r : report.per_resolver) EXPECT_TRUE(r.unreachable_v4);
 }
@@ -121,7 +127,7 @@ TEST(Detector, SingleNonstandardAddressFlagsTheResolver) {
   };
   ScriptedTransport transport{script};
   InterceptionDetector detector;
-  auto report = detector.run(transport);
+  auto report = detector.run(transport.engine());
   EXPECT_TRUE(report.of(PublicResolverKind::cloudflare).intercepted_v4);
   EXPECT_FALSE(report.of(PublicResolverKind::google).intercepted_v4);
   EXPECT_EQ(report.intercepted_kinds(netbase::IpFamily::v4).size(), 1u);
@@ -140,7 +146,7 @@ TEST(CpeLocalizer, IdenticalStringsMeanCpe) {
   };
   ScriptedTransport transport{script};
   CpeLocalizer localizer;
-  auto report = localizer.run(transport, cpe_ip(),
+  auto report = localizer.run(transport.engine(), cpe_ip(),
                               {PublicResolverKind::cloudflare, PublicResolverKind::google});
   EXPECT_TRUE(report.cpe_is_interceptor);
   EXPECT_EQ(report.matching.size(), 2u);
@@ -156,7 +162,7 @@ TEST(CpeLocalizer, DifferentStringsMeanNotCpe) {
   };
   ScriptedTransport transport{script};
   CpeLocalizer localizer;
-  auto report = localizer.run(transport, cpe_ip(), {PublicResolverKind::google});
+  auto report = localizer.run(transport.engine(), cpe_ip(), {PublicResolverKind::google});
   EXPECT_FALSE(report.cpe_is_interceptor);
   EXPECT_TRUE(report.matching.empty());
   EXPECT_TRUE(report.cpe.has_string());
@@ -171,7 +177,7 @@ TEST(CpeLocalizer, SilentCpeMeansNotCpe) {
   };
   ScriptedTransport transport{script};
   CpeLocalizer localizer;
-  auto report = localizer.run(transport, cpe_ip(), {PublicResolverKind::google});
+  auto report = localizer.run(transport.engine(), cpe_ip(), {PublicResolverKind::google});
   EXPECT_FALSE(report.cpe_is_interceptor);
   EXPECT_FALSE(report.cpe.answered);
   EXPECT_EQ(report.cpe.display, "timeout");
@@ -186,7 +192,7 @@ TEST(CpeLocalizer, MatchingErrorRcodesAreNotIdentity) {
   };
   ScriptedTransport transport{script};
   CpeLocalizer localizer;
-  auto report = localizer.run(transport, cpe_ip(), {PublicResolverKind::google});
+  auto report = localizer.run(transport.engine(), cpe_ip(), {PublicResolverKind::google});
   EXPECT_FALSE(report.cpe_is_interceptor);
   EXPECT_EQ(report.cpe.display, "NXDOMAIN");
 }
@@ -203,7 +209,7 @@ TEST(CpeLocalizer, PartialMatchIsNotCpe) {
   };
   ScriptedTransport transport{script};
   CpeLocalizer localizer;
-  auto report = localizer.run(transport, cpe_ip(),
+  auto report = localizer.run(transport.engine(), cpe_ip(),
                               {PublicResolverKind::cloudflare, PublicResolverKind::google});
   EXPECT_FALSE(report.cpe_is_interceptor);
   EXPECT_EQ(report.matching.size(), 1u);
@@ -214,7 +220,7 @@ TEST(CpeLocalizer, NoSuspectsMeansNotCpe) {
     return std::optional(dnswire::make_txt_response(query, "dnsmasq-2.78"));
   }};
   CpeLocalizer localizer;
-  auto report = localizer.run(transport, cpe_ip(), {});
+  auto report = localizer.run(transport.engine(), cpe_ip(), {});
   EXPECT_FALSE(report.cpe_is_interceptor);
 }
 
@@ -229,7 +235,7 @@ TEST(IspLocalizer, AnswerMeansWithinIsp) {
   };
   ScriptedTransport transport{script};
   IspLocalizer localizer;
-  auto report = localizer.run(transport);
+  auto report = localizer.run(transport.engine());
   EXPECT_TRUE(report.within_isp());
   EXPECT_TRUE(report.v4.tested);
   EXPECT_FALSE(report.v6.tested);  // transport has no v6
@@ -239,7 +245,7 @@ TEST(IspLocalizer, AnswerMeansWithinIsp) {
 TEST(IspLocalizer, SilenceMeansUnknown) {
   ScriptedTransport transport{[](const auto&, const auto&) { return std::nullopt; }};
   IspLocalizer localizer;
-  EXPECT_FALSE(localizer.run(transport).within_isp());
+  EXPECT_FALSE(localizer.run(transport.engine()).within_isp());
 }
 
 TEST(IspLocalizer, TargetsAreActuallyBogons) {
@@ -261,7 +267,7 @@ TEST(Transparency, ValidForeignAnswerIsTransparent) {
   };
   ScriptedTransport transport{script};
   TransparencyTester tester;
-  auto report = tester.run(transport, {PublicResolverKind::google});
+  auto report = tester.run(transport.engine(), {PublicResolverKind::google});
   EXPECT_EQ(report.overall, TransparencyClass::transparent);
   EXPECT_EQ(report.per_resolver.at(PublicResolverKind::google).klass,
             ResolverTransparency::transparent);
@@ -278,7 +284,7 @@ TEST(Transparency, TargetEgressAnswerIsNotInterception) {
   };
   ScriptedTransport transport{script};
   TransparencyTester tester;
-  auto report = tester.run(transport, {PublicResolverKind::google});
+  auto report = tester.run(transport.engine(), {PublicResolverKind::google});
   EXPECT_EQ(report.per_resolver.at(PublicResolverKind::google).klass,
             ResolverTransparency::answered_by_target);
   EXPECT_EQ(report.overall, TransparencyClass::indeterminate);
@@ -290,7 +296,7 @@ TEST(Transparency, ErrorStatusesClassifyModified) {
   };
   ScriptedTransport transport{script};
   TransparencyTester tester;
-  auto report = tester.run(transport, {PublicResolverKind::quad9});
+  auto report = tester.run(transport.engine(), {PublicResolverKind::quad9});
   EXPECT_EQ(report.overall, TransparencyClass::status_modified);
 }
 
@@ -307,14 +313,14 @@ TEST(Transparency, MixedIsBoth) {
   };
   ScriptedTransport transport{script};
   TransparencyTester tester;
-  auto report = tester.run(transport, {PublicResolverKind::google, PublicResolverKind::quad9});
+  auto report = tester.run(transport.engine(), {PublicResolverKind::google, PublicResolverKind::quad9});
   EXPECT_EQ(report.overall, TransparencyClass::both);
 }
 
 TEST(Transparency, AllTimeoutsIsIndeterminate) {
   ScriptedTransport transport{[](const auto&, const auto&) { return std::nullopt; }};
   TransparencyTester tester;
-  auto report = tester.run(transport, {PublicResolverKind::google});
+  auto report = tester.run(transport.engine(), {PublicResolverKind::google});
   EXPECT_EQ(report.overall, TransparencyClass::indeterminate);
 }
 
@@ -331,7 +337,7 @@ TEST(Pipeline, SkipsCpeCheckWithoutCpeAddress) {
   ScriptedTransport transport{script};
   PipelineConfig config;  // no cpe_public_ip
   LocalizationPipeline pipeline(config);
-  auto verdict = pipeline.run(transport);
+  auto verdict = pipeline.run(transport.engine());
   EXPECT_TRUE(verdict.intercepted());
   EXPECT_FALSE(verdict.cpe_check.has_value());
   EXPECT_EQ(verdict.location, InterceptorLocation::unknown);
@@ -342,7 +348,7 @@ TEST(Pipeline, TransparencyCanBeDisabled) {
   PipelineConfig config;
   config.run_transparency = false;
   LocalizationPipeline pipeline(config);
-  auto verdict = pipeline.run(transport);
+  auto verdict = pipeline.run(transport.engine());
   EXPECT_FALSE(verdict.transparency.has_value());
 }
 
@@ -356,7 +362,7 @@ TEST(Pipeline, CpeVerdictSkipsBogonProbing) {
   PipelineConfig config;
   config.cpe_public_ip = cpe_ip();
   LocalizationPipeline pipeline(config);
-  auto verdict = pipeline.run(transport);
+  auto verdict = pipeline.run(transport.engine());
   EXPECT_EQ(verdict.location, InterceptorLocation::cpe);
   EXPECT_FALSE(verdict.bogon.has_value());  // Figure 2: step 3 not reached
 }

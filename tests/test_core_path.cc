@@ -114,8 +114,9 @@ TEST(PathProber, UnsupportedTransportYieldsEmptyReport) {
     }
     bool supports_family(netbase::IpFamily) const override { return true; }
   } transport;
+  BlockingBatchAdapter engine(transport);
   PathProber prober;
-  auto report = prober.trace(transport, google53());
+  auto report = prober.trace(engine, google53());
   EXPECT_TRUE(report.hops.empty());
   EXPECT_FALSE(report.responder_hop.has_value());
 }

@@ -32,9 +32,9 @@ using testing_corpus::signature;
 core::ProbeVerdict run_with(const ScenarioConfig& config, bool async) {
   Scenario scenario(config);
   LocalizationPipeline pipeline(scenario.pipeline_config());
-  return async
-             ? pipeline.run(static_cast<core::AsyncQueryTransport&>(scenario.transport()))
-             : pipeline.run(static_cast<core::QueryTransport&>(scenario.transport()));
+  if (async) return pipeline.run(scenario.transport());
+  core::BlockingBatchAdapter blocking(scenario.transport());
+  return pipeline.run(blocking);
 }
 
 /// Render the whole corpus as one diffable document. One block per case,

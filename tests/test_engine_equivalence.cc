@@ -40,9 +40,9 @@ using testing_corpus::signature;
 core::ProbeVerdict run_with(const ScenarioConfig& config, bool async) {
   Scenario scenario(config);
   LocalizationPipeline pipeline(scenario.pipeline_config());
-  return async
-             ? pipeline.run(static_cast<core::AsyncQueryTransport&>(scenario.transport()))
-             : pipeline.run(static_cast<core::QueryTransport&>(scenario.transport()));
+  if (async) return pipeline.run(scenario.transport());
+  core::BlockingBatchAdapter blocking(scenario.transport());
+  return pipeline.run(blocking);
 }
 
 TEST(EngineEquivalence, SimCorpusVerdictsAreByteIdentical) {
@@ -206,8 +206,7 @@ TEST(EngineEquivalence, PipelineOverEngineSkipsDrainedStages) {
 
   LocalizationPipeline pipeline(config);
   auto start = std::chrono::steady_clock::now();
-  auto verdict = pipeline.run(static_cast<core::AsyncQueryTransport&>(transport),
-                              core::CancelToken::after(120ms));
+  auto verdict = pipeline.run(transport, core::CancelToken::after(120ms));
   auto elapsed = std::chrono::steady_clock::now() - start;
 
   EXPECT_LT(elapsed, 1000ms);

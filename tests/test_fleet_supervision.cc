@@ -162,9 +162,10 @@ TEST(FleetSupervision, MidRunCancellationKeepsDetectionSkipsLocalization) {
   atlas::Scenario scenario(spec.scenario);
   auto token = core::CancelToken::manual();
   CancellingTransport transport(scenario.transport(), token, 1);
+  core::BlockingBatchAdapter engine(transport);
 
   core::LocalizationPipeline pipeline(scenario.pipeline_config());
-  auto verdict = pipeline.run(transport, token);
+  auto verdict = pipeline.run(engine, token);
 
   EXPECT_FALSE(verdict.stage_skipped(core::PipelineStage::detection));
   EXPECT_TRUE(verdict.detection.any_intercepted(netbase::IpFamily::v4));

@@ -149,7 +149,7 @@ std::vector<atlas::ProbeRecord> golden_records() {
   EXPECT_TRUE(parsed.ok());
   std::vector<atlas::ProbeRecord> records;
   for (const auto& spec : parsed.generate()) {
-    records.push_back(atlas::run_probe(spec, true));
+    records.push_back(atlas::run_probe(spec, {}, true));
     records.back().elapsed = std::chrono::microseconds(1000 + records.back().probe_id);
   }
   records.push_back(failed_record());
@@ -524,7 +524,7 @@ TEST(Journal, MissingJournalRunsFromScratch) {
 TEST(ResultsIo, SupervisionFieldsRoundTripThroughJsonl) {
   auto fleet = study_fleet();
   atlas::MeasurementRun run;
-  run.records.push_back(atlas::run_probe(fleet[0], true));
+  run.records.push_back(atlas::run_probe(fleet[0], {}, true));
 
   atlas::ProbeRecord failed;
   failed.probe_id = 4242;

@@ -56,7 +56,8 @@ TEST(LoopbackPipeline, CleanWorldOverRealSockets) {
   }
 
   core::LocalizationPipeline pipeline(fast_config());
-  auto verdict = pipeline.run(transport);
+  core::BlockingBatchAdapter engine(transport);
+  auto verdict = pipeline.run(engine);
   EXPECT_EQ(verdict.location, core::InterceptorLocation::not_intercepted)
       << core::describe(verdict);
   for (const auto& probe : verdict.detection.probes)
@@ -85,7 +86,8 @@ TEST(LoopbackPipeline, InterceptedWorldOverRealSockets) {
   core::PipelineConfig config = fast_config();
   config.cpe_public_ip = cpe_ip;
   core::LocalizationPipeline pipeline(config);
-  auto verdict = pipeline.run(transport);
+  core::BlockingBatchAdapter engine(transport);
+  auto verdict = pipeline.run(engine);
 
   EXPECT_TRUE(verdict.detection.all_four_intercepted(netbase::IpFamily::v4));
   ASSERT_TRUE(verdict.cpe_check.has_value());
@@ -113,7 +115,8 @@ TEST(LoopbackPipeline, IspStyleInterceptionOverRealSockets) {
   core::PipelineConfig config = fast_config();
   config.cpe_public_ip = *netbase::IpAddress::parse("203.0.113.7");  // unmapped: timeout
   core::LocalizationPipeline pipeline(config);
-  auto verdict = pipeline.run(transport);
+  core::BlockingBatchAdapter engine(transport);
+  auto verdict = pipeline.run(engine);
 
   ASSERT_TRUE(verdict.cpe_check.has_value());
   EXPECT_FALSE(verdict.cpe_check->cpe_is_interceptor);

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "dnswire/encoder.h"
@@ -239,6 +240,40 @@ TEST(ScopedArena, InstallsAndRestoresTheThreadArena) {
     EXPECT_EQ(&this_thread_arena(), &mine);
   }
   EXPECT_EQ(&this_thread_arena(), &base);
+}
+
+TEST(ByteArena, RetiredArenaParksNothing) {
+  ByteArena arena;
+  void* block = arena.acquire(100);
+  arena.release(block, 100);
+  EXPECT_EQ(arena.stats().parked, 1u);
+  arena.retire();
+  EXPECT_EQ(arena.stats().parked, 0u);
+  // After retire(), blocks pass straight through to the heap.
+  void* late = arena.acquire(100);
+  arena.release(late, 100);
+  EXPECT_EQ(arena.stats().parked, 0u);
+  EXPECT_EQ(arena.stats().fresh, 2u);
+}
+
+TEST(ScopedArena, ExitingThreadFreesItsDefaultArena) {
+  // A thread without a ScopedArena parks blocks in its default arena, which
+  // must free them when the thread exits (LeakSanitizer checks this under
+  // the asan-ubsan preset). A buffer the thread allocated may outlive it;
+  // freeing it here just parks its block in this thread's arena.
+  ByteBuffer survivor;
+  std::thread worker([&survivor] {
+    for (std::size_t round = 0; round < 8; ++round) {
+      ByteBuffer scratch(100 + 300 * round, 0xab);
+      EXPECT_EQ(scratch.back(), 0xab);
+    }
+    survivor.assign(200, 0xcd);
+  });
+  worker.join();
+  ASSERT_EQ(survivor.size(), 200u);
+  EXPECT_EQ(survivor.back(), 0xcd);
+  survivor = ByteBuffer{};
+  EXPECT_TRUE(survivor.empty());
 }
 
 TEST(PoolAllocator, ByteBufferRoundTripsThroughTheInstalledArena) {

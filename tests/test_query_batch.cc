@@ -1,21 +1,90 @@
-// The batch layer's contracts: QueryBatch slot bookkeeping, the
-// BlockingBatchAdapter's exact-sequential-loop semantics, the seeded
-// transaction-ID streams the stage builders draw from, and the timer wheel
-// that drives the async engine's deadlines.
+// The batch layer's contracts: every stage's single AsyncQueryTransport
+// entry point, QueryBatch slot bookkeeping, the BlockingBatchAdapter's
+// exact-sequential-loop semantics, the seeded transaction-ID streams the
+// stage builders draw from, and the timer wheel that drives the async
+// engine's deadlines.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <vector>
 
 #include "core/detector.h"
+#include "core/dns0x20.h"
+#include "core/dot_probe.h"
+#include "core/mapped_transport.h"
+#include "core/path_probe.h"
+#include "core/pipeline.h"
 #include "core/query_batch.h"
+#include "core/sim_transport.h"
+#include "core/ttl_probe.h"
 #include "dnswire/debug_queries.h"
 #include "sockets/timer_wheel.h"
+#include "sockets/udp_engine.h"
+#include "sockets/udp_transport.h"
 
 namespace dnslocate {
 namespace {
 
 using namespace std::chrono_literals;
+
+// One query interface: each stage's only entry point takes
+// AsyncQueryTransport&. Every batch engine binds to it without a cast, and a
+// plain QueryTransport binds to none of them (it enters through
+// BlockingBatchAdapter). One concept per entry point, so the negative check
+// fails if any single stage still takes a plain transport.
+using Kinds = std::vector<resolvers::PublicResolverKind>;
+template <typename T>
+concept RunsPipeline = requires(core::LocalizationPipeline& s, T& t) { s.run(t); };
+template <typename T>
+concept RunsDetector = requires(core::InterceptionDetector& s, T& t) { s.run(t); };
+template <typename T>
+concept RunsCpe = requires(core::CpeLocalizer& s, T& t, const netbase::IpAddress& ip,
+                           const Kinds& k) { s.run(t, ip, k); };
+template <typename T>
+concept RunsIsp = requires(core::IspLocalizer& s, T& t) { s.run(t); };
+template <typename T>
+concept RunsReplication = requires(core::ReplicationProber& s, T& t) { s.run(t); };
+template <typename T>
+concept RunsTransparency = requires(core::TransparencyTester& s, T& t, const Kinds& k) {
+  s.run(t, k);
+};
+template <typename T>
+concept RunsFingerprint = requires(core::FingerprintProber& s, T& t,
+                                   resolvers::PublicResolverKind k) { s.run(t, k); };
+template <typename T>
+concept RunsDot = requires(core::DotProber& s, T& t) { s.run(t); };
+template <typename T>
+concept RunsDns0x20 = requires(core::Dns0x20Prober& s, T& t) { s.run(t); };
+template <typename T>
+concept RunsPath = requires(core::PathProber& s, T& t, const netbase::Endpoint& e) {
+  s.trace(t, e);
+};
+template <typename T>
+concept RunsTtlSweep = requires(core::TtlLocalizer& s, T& t, const netbase::Endpoint& e) {
+  s.sweep(t, e);
+};
+template <typename T>
+concept RunsResponderHop = requires(core::TtlLocalizer& s, T& t, const netbase::Endpoint& e) {
+  s.responder_hop(t, e);
+};
+
+template <typename T>
+constexpr bool kEveryStageTakes = RunsPipeline<T> && RunsDetector<T> && RunsCpe<T> &&
+                                  RunsIsp<T> && RunsReplication<T> && RunsTransparency<T> &&
+                                  RunsFingerprint<T> && RunsDot<T> && RunsDns0x20<T> &&
+                                  RunsPath<T> && RunsTtlSweep<T> && RunsResponderHop<T>;
+template <typename T>
+constexpr bool kNoStageTakes = !RunsPipeline<T> && !RunsDetector<T> && !RunsCpe<T> &&
+                               !RunsIsp<T> && !RunsReplication<T> && !RunsTransparency<T> &&
+                               !RunsFingerprint<T> && !RunsDot<T> && !RunsDns0x20<T> &&
+                               !RunsPath<T> && !RunsTtlSweep<T> && !RunsResponderHop<T>;
+
+static_assert(kEveryStageTakes<core::SimTransport>);
+static_assert(kEveryStageTakes<sockets::UdpEngine>);
+static_assert(kEveryStageTakes<core::MappedBatchTransport>);
+static_assert(kEveryStageTakes<core::BlockingBatchAdapter>);
+static_assert(kNoStageTakes<sockets::UdpTransport>);
+static_assert(kNoStageTakes<core::MappedTransport>);
 
 /// Answers every query instantly by echoing it back, recording the call
 /// order — a microscope for what an engine actually sends, and when.
@@ -155,7 +224,8 @@ TEST(QueryBatch, DetectorIdsAreSeededUnpredictableAndReplayable) {
     config.use_secondary_addresses = false;
     config.id_seed = id_seed;
     RecordingTransport transport;
-    core::InterceptionDetector(config).run(transport);
+    core::BlockingBatchAdapter engine(transport);
+    core::InterceptionDetector(config).run(engine);
     return transport.ids;
   };
 

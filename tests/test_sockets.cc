@@ -136,7 +136,8 @@ TEST(UdpTransport, DetectorRunsOverRealSockets) {
   config.use_secondary_addresses = false;
   config.query.timeout = std::chrono::milliseconds(60);
   core::InterceptionDetector detector(config);
-  auto report = detector.run(transport);
+  core::BlockingBatchAdapter engine(transport);
+  auto report = detector.run(engine);
   EXPECT_EQ(report.probes.size(), 4u);
   for (const auto& probe : report.probes) {
     EXPECT_FALSE(probe.display.empty());

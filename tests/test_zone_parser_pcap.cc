@@ -133,7 +133,8 @@ TEST(Pcap, GlobalHeaderAndRecordFraming) {
   // One record: header 16 + IPv4 20 + UDP 8 + payload 4.
   EXPECT_EQ(bytes.size(), 24u + 16u + 32u);
   // Timestamp: 1.5s -> seconds field 1, micros field 500000.
-  std::uint32_t seconds = bytes[24] | bytes[25] << 8 | bytes[26] << 16 | (unsigned)bytes[27] << 24;
+  auto byte = [&](std::size_t i) { return static_cast<std::uint32_t>(bytes[i]); };
+  std::uint32_t seconds = byte(24) | byte(25) << 8 | byte(26) << 16 | byte(27) << 24;
   EXPECT_EQ(seconds, 1u);
   // IPv4 version nibble of the frame body.
   EXPECT_EQ(bytes[24 + 16] >> 4, 4);
